@@ -3,15 +3,26 @@
  * Tests for the model layer: configs match the public model cards, synthetic
  * weights carry the injected outlier structure, and — the core §3.2
  * property — chunked prefill is exactly equivalent to one-shot prefill.
+ * A golden-hash test pins the bytes of every executor's hidden states and
+ * generated tokens, so refactors of the forward path must stay bitwise.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 
+#include "src/core/shadow_executor.h"
 #include "src/model/config.h"
 #include "src/model/transformer.h"
 #include "src/model/weights.h"
+#include "src/quant/baselines.h"
 #include "src/tensor/ops.h"
+#include "src/util/format.h"
+#include "tests/support/golden.h"
+#include "tests/support/tiny_model.h"
 
 namespace llmnpu {
 namespace {
@@ -280,6 +291,95 @@ TEST(TransformerTest, ActivationOutliersAppearAtHotChannels)
         }
     }
     EXPECT_GT(hot_absmax, 3.0 * cold_absmax);
+}
+
+/** 64-bit FNV-1a over raw bytes, chained through `h`. */
+uint64_t
+Fnv1a(const void* data, size_t bytes, uint64_t h)
+{
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+        h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+uint64_t
+HashTensor(const Tensor& t, uint64_t h)
+{
+    return Fnv1a(t.Data<float>(),
+                 static_cast<size_t>(t.NumElements()) * sizeof(float), h);
+}
+
+/**
+ * Golden record for this build flavor. The AVX2/FMA kernel TU contracts
+ * scalar multiply-adds into fused ones only when optimizing, so the fp32
+ * and float-scaled paths round differently in the last bits at -O0; each
+ * flavor keeps its own record, both taken from the same code.
+ */
+#ifdef __OPTIMIZE__
+constexpr const char* kForwardGolden = "forward_hashes.txt";
+#else
+constexpr const char* kForwardGolden = "forward_hashes_O0.txt";
+#endif
+
+class ForwardGoldenTest : public TinyModelTest
+{};
+
+TEST_F(ForwardGoldenTest, HiddenStatesAndTokensMatchRecordedHashes)
+{
+    // Every evaluation context runs a two-chunk prefill and four greedy
+    // decode steps through Forward, then Generate from scratch. The hashes
+    // cover every hidden-state byte and every generated token, so any
+    // change to the forward path's arithmetic (kernel, cache, accumulation
+    // order) shows up as a golden diff. Executors span the stacked
+    // ForwardBatch overrides (fp32, SmoothQuant, llm.npu) and the base
+    // per-segment path (PerTensor, K-Quant).
+    constexpr int kDecodeSteps = 4;
+    const Transformer& model = tiny_.model;
+    Fp32LinearExecutor fp32(tiny_.weights);
+    PerTensorExecutor pertensor(tiny_.weights);
+    KQuantExecutor kquant(tiny_.weights);
+    SmoothQuantExecutor smoothquant(tiny_.weights, tiny_.calib);
+    NpuShadowExecutor npu(tiny_.weights, tiny_.profile, 0.85);
+    const std::pair<const char*, LinearExecutor*> execs[] = {
+        {"fp32", &fp32},
+        {"pertensor", &pertensor},
+        {"kquant", &kquant},
+        {"smoothquant", &smoothquant},
+        {"llmnpu", &npu}};
+
+    std::string summary = StrFormat(
+        "FNV-1a of Forward hidden states (two-chunk prefill + %d decode "
+        "steps) and Generate tokens, tiny model, %d eval contexts\n",
+        kDecodeSteps, static_cast<int>(tiny_.eval_corpus.size()));
+    for (const auto& [name, ex] : execs) {
+        uint64_t forward = kFnvOffset, generate = kFnvOffset;
+        for (const std::vector<int>& ctx : tiny_.eval_corpus) {
+            const auto mid = ctx.begin() + static_cast<long>(ctx.size() / 2);
+            KvCache cache = model.MakeCache();
+            Tensor hidden = model.Forward({ctx.begin(), mid}, cache, *ex);
+            forward = HashTensor(hidden, forward);
+            hidden = model.Forward({mid, ctx.end()}, cache, *ex);
+            forward = HashTensor(hidden, forward);
+            for (int step = 0; step < kDecodeSteps; ++step) {
+                const int token = model.ArgmaxLastRow(model.Logits(
+                    hidden.CopyRows(hidden.Rows() - 1, 1)));
+                hidden = model.Forward({token}, cache, *ex);
+                forward = HashTensor(hidden, forward);
+            }
+            const std::vector<int> tokens =
+                model.Generate(ctx, kDecodeSteps, *ex);
+            generate = Fnv1a(tokens.data(), tokens.size() * sizeof(int),
+                             generate);
+        }
+        summary += StrFormat("%-12s forward=%016llx generate=%016llx\n", name,
+                             static_cast<unsigned long long>(forward),
+                             static_cast<unsigned long long>(generate));
+    }
+    EXPECT_TRUE(MatchesGolden(kForwardGolden, summary));
 }
 
 }  // namespace
