@@ -167,9 +167,8 @@ BatchedKvCache::AppendRows(int seq, int layer, const Tensor& k,
     }
     state.layer_len[static_cast<size_t>(layer)] = len + row_count;
 
-    // Layer-lockstep invariant (same as the single-sequence KvCache): no
-    // layer may lead the shortest layer by more than the in-flight chunk,
-    // and a later layer never leads layer 0.
+    // Layer-lockstep invariant: no layer may lead the shortest layer by
+    // more than the in-flight chunk, and a later layer never leads layer 0.
     int64_t min_len = state.layer_len[0], max_len = min_len;
     for (int l = 1; l < num_layers_; ++l) {
         const int64_t llen = state.layer_len[static_cast<size_t>(l)];

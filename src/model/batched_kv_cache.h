@@ -20,8 +20,11 @@
  *    divergent write) and diverge bitwise-identically to sequences that
  *    never shared, and
  *  - the fused attention kernel (src/model/paged_attention.h) reads K/V
- *    straight out of the pages, eliminating the per-sequence dense
- *    materialization and segment copies of the old decode hot path.
+ *    straight out of the pages, with no per-sequence dense copy of the
+ *    history.
+ *
+ * It is the model's only KV cache: the single-sequence Transformer::Forward
+ * runs on a one-slot instance (KvCache below).
  *
  * Page tables are shared across layers: page id p of a sequence holds that
  * sequence's positions [i*page_size, (i+1)*page_size) for *every* layer
@@ -147,6 +150,10 @@ class BatchedKvCache
     std::vector<SeqState> seqs_;
     int live_ = 0;
 };
+
+/** The single-sequence spelling: a one-slot BatchedKvCache
+ *  (Transformer::MakeCache), advanced by Transformer::Forward. */
+using KvCache = BatchedKvCache;
 
 }  // namespace llmnpu
 

@@ -48,8 +48,8 @@ struct HandoffStats {
  * Routes each linear of a forward step to the CPU float path or the NPU
  * quantized path, per batch segment.
  *
- * The backend is itself a LinearExecutor, so Transformer::Forward /
- * ForwardBatch run through it unchanged; callers set the placement state
+ * The backend is itself a LinearExecutor, so Transformer::Forward (B=1)
+ * and ForwardBatch run through it unchanged; callers set the placement state
  * before each step (SetUniformPlacement for whole-step routing,
  * SetStepPlacements for per-sequence routing inside one batched step).
  *
@@ -72,8 +72,8 @@ class DecodeBackend : public LinearExecutor
     /**
      * Per-segment routing for the next ForwardBatch call(s): segment i of
      * the stacked activation executes on `placements[i]`. Size must match
-     * the batch handed to ForwardBatch (checked there); Forward uses
-     * placements[0].
+     * the batch handed to ForwardBatch (checked there); Forward is
+     * ForwardBatch over one segment.
      */
     void SetStepPlacements(std::vector<DecodePlacement> placements);
 

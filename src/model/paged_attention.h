@@ -2,11 +2,11 @@
  * @file
  * Fused batched causal attention over paged KV.
  *
- * The old batched path looped attention per sequence, each iteration
- * copying the sequence's Q segment out of the stacked activation,
- * materializing its whole K/V history into dense tensors, and pasting the
- * result back — three copies per sequence per layer on the decode hot
- * path. This kernel fuses the loop: one call covers every sequence of the
+ * This is the model's only attention kernel: every forward runs it, the
+ * single-sequence Forward included. Rather than looping attention per
+ * sequence — copying each Q segment out of the stacked activation,
+ * materializing the whole K/V history into dense tensors and pasting the
+ * result back — it fuses the loop: one call covers every sequence of the
  * batch, reads K/V directly out of the pool pages through each sequence's
  * page table, writes straight into the stacked output, and tile-parallels
  * the work across the persistent ThreadPool.

@@ -47,6 +47,8 @@ LinearExecutor::ForwardBatch(int layer, LinearKind kind, const Tensor& x,
                              const BatchSegments& segments)
 {
     CheckBatchSegments(x, segments);
+    // One segment is all of x: forward it as is, no slice or scatter.
+    if (segments.size() == 2) return Forward(layer, kind, x);
     // Reference path: each segment forwarded alone, outputs scattered back.
     // Bitwise identical to sequential execution by construction.
     Tensor out;
@@ -90,9 +92,7 @@ Transformer::Transformer(const ModelWeights& weights) : weights_(weights)
 KvCache
 Transformer::MakeCache() const
 {
-    const auto& c = weights_.config;
-    return KvCache(c.num_layers,
-                   static_cast<int64_t>(c.num_kv_heads) * c.head_dim);
+    return MakeBatchedCache(1);
 }
 
 BatchedKvCache
@@ -139,72 +139,19 @@ Transformer::Normed(const Tensor& x, const Tensor& gamma,
 }
 
 Tensor
-Transformer::ForwardBlock(int layer, const Tensor& x, KvCache& cache,
-                          int64_t pos_offset, LinearExecutor& linears) const
-{
-    const auto& c = weights_.config;
-    const auto& lw = weights_.layers[static_cast<size_t>(layer)];
-    LLMNPU_TRACE_SPAN_ID("transformer.block", "model", -1, -1, layer);
-    // Span-per-linear: names the projection so a trace shows which linear
-    // of which layer ran; does not touch the tensors.
-    auto traced = [&](LinearKind kind, const Tensor& in) {
-        LLMNPU_TRACE_SPAN_ID(LinearSpanName(kind), "linear", -1, -1, layer);
-        return linears.Forward(layer, kind, in);
-    };
-
-    // --- Attention sub-block (pre-norm residual). ---
-    Tensor normed = Normed(x, lw.attn_norm_gamma, lw.attn_norm_beta);
-    Tensor q = traced(LinearKind::kWq, normed);
-    Tensor k = traced(LinearKind::kWk, normed);
-    Tensor v = traced(LinearKind::kWv, normed);
-
-    ApplyRope(q, c.num_heads, c.head_dim, pos_offset);
-    ApplyRope(k, c.num_kv_heads, c.head_dim, pos_offset);
-    cache.Append(layer, k, v);
-
-    Tensor keys = cache.Keys(layer);
-    Tensor values = cache.Values(layer);
-    Tensor attn = CausalAttention(q, keys, values, c.num_heads,
-                                  c.num_kv_heads, pos_offset);
-    Tensor attn_out = traced(LinearKind::kWo, attn);
-    Tensor h = Add(x, attn_out);
-
-    // --- FFN sub-block. ---
-    Tensor ffn_in = Normed(h, lw.ffn_norm_gamma, lw.ffn_norm_beta);
-    Tensor up = traced(LinearKind::kFfnUp, ffn_in);
-    if (c.gated_ffn) {
-        Tensor gate = traced(LinearKind::kFfnGate, ffn_in);
-        if (c.act == ActKind::kSiLU) {
-            SiluInPlace(gate);
-        } else {
-            GeluInPlace(gate);
-        }
-        up = Mul(gate, up);
-    } else {
-        if (c.act == ActKind::kSiLU) {
-            SiluInPlace(up);
-        } else {
-            GeluInPlace(up);
-        }
-    }
-    Tensor down = traced(LinearKind::kFfnDown, up);
-    AddInPlace(h, down);
-    return h;
-}
-
-Tensor
-Transformer::ForwardBlockBatch(int layer, const Tensor& x,
-                               const std::vector<BatchSeq>& batch,
-                               const BatchSegments& segments,
-                               const std::vector<int64_t>& pos_offsets,
-                               BatchedKvCache& cache,
-                               LinearExecutor& linears) const
+Transformer::ForwardBlock(int layer, const Tensor& x,
+                          const std::vector<BatchSeq>& batch,
+                          const BatchSegments& segments,
+                          const std::vector<int64_t>& pos_offsets,
+                          BatchedKvCache& cache, LinearExecutor& linears) const
 {
     const auto& c = weights_.config;
     const auto& lw = weights_.layers[static_cast<size_t>(layer)];
     const size_t b = batch.size();
-    LLMNPU_TRACE_SPAN_TILE("transformer.block_batch", "model", -1, -1,
-                           layer, "batch", static_cast<int>(b));
+    LLMNPU_TRACE_SPAN_TILE("transformer.block", "model", -1, -1, layer,
+                           "batch", static_cast<int>(b));
+    // Span-per-linear: names the projection so a trace shows which linear
+    // of which layer ran; does not touch the tensors.
     auto traced = [&](LinearKind kind, const Tensor& in) {
         LLMNPU_TRACE_SPAN_ID(LinearSpanName(kind), "linear", -1, -1, layer);
         return linears.ForwardBatch(layer, kind, in, segments);
@@ -283,12 +230,11 @@ Transformer::ForwardBatch(const std::vector<BatchSeq>& batch,
                               batch[i].tokens.end());
     }
 
-    LLMNPU_TRACE_SPAN_TILE("transformer.forward_batch", "model", -1, -1,
-                           -1, "rows", static_cast<int>(segments.back()));
+    LLMNPU_TRACE_SPAN_TILE("transformer.forward", "model", -1, -1, -1,
+                           "rows", static_cast<int>(segments.back()));
     Tensor x = Embed(stacked_tokens);
     for (int l = 0; l < weights_.config.num_layers; ++l) {
-        x = ForwardBlockBatch(l, x, batch, segments, pos_offsets, cache,
-                              linears);
+        x = ForwardBlock(l, x, batch, segments, pos_offsets, cache, linears);
     }
     return Normed(x, weights_.final_norm_gamma, weights_.final_norm_beta);
 }
@@ -308,15 +254,8 @@ Tensor
 Transformer::Forward(const std::vector<int>& tokens, KvCache& cache,
                      LinearExecutor& linears) const
 {
-    LLMNPU_CHECK(!tokens.empty());
-    const int64_t pos_offset = cache.SeqLen();
-    LLMNPU_TRACE_SPAN_TILE("transformer.forward", "model", -1, -1, -1,
-                           "rows", static_cast<int>(tokens.size()));
-    Tensor x = Embed(tokens);
-    for (int l = 0; l < weights_.config.num_layers; ++l) {
-        x = ForwardBlock(l, x, cache, pos_offset, linears);
-    }
-    return Normed(x, weights_.final_norm_gamma, weights_.final_norm_beta);
+    LLMNPU_CHECK_EQ(cache.num_sequences(), 1);
+    return ForwardBatch({BatchSeq{0, tokens}}, cache, linears);
 }
 
 Tensor

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/model/batched_kv_cache.h"
-#include "src/model/kv_cache.h"
 #include "src/model/placement.h"
 #include "src/model/weights.h"
 #include "src/tensor/tensor.h"
@@ -100,10 +99,14 @@ struct BatchSeq {
 /**
  * The reference transformer.
  *
+ * There is one numeric forward path: ForwardBatch over the paged
+ * BatchedKvCache, with attention in the fused PagedCausalAttention kernel.
+ * Forward is that path at B=1 on a one-slot cache.
+ *
  * Chunk-exactness contract: Forward(tokens[0..n)) in one call produces
  * bit-comparable hidden states to any sequence of Forward calls over a
  * partition of the same tokens with the same cache (§3.2; verified by
- * tests/model/transformer_test.cc).
+ * tests/model_test.cc).
  */
 class Transformer
 {
@@ -113,7 +116,8 @@ class Transformer
     const ModelConfig& config() const { return weights_.config; }
     const ModelWeights& weights() const { return weights_; }
 
-    /** Creates an empty cache sized for this model. */
+    /** Creates an empty one-slot cache sized for this model (slot 0 is
+     *  the sequence Forward advances). */
     KvCache MakeCache() const;
 
     /** Creates an empty batched cache with `num_sequences` slots. */
@@ -128,8 +132,10 @@ class Transformer
     Tensor Embed(const std::vector<int>& tokens) const;
 
     /**
-     * Runs all blocks over `tokens`, appending K/V to `cache`.
-     * Positions are cache.SeqLen() .. cache.SeqLen() + tokens.size() - 1.
+     * Runs all blocks over `tokens`, appending K/V to slot 0 of `cache`,
+     * which must have exactly one slot (MakeCache). Positions are
+     * cache.SeqLen(0) .. cache.SeqLen(0) + tokens.size() - 1. This is
+     * ForwardBatch with B=1.
      * @return final-norm hidden states [seq x hidden].
      */
     Tensor Forward(const std::vector<int>& tokens, KvCache& cache,
@@ -144,7 +150,7 @@ class Transformer
      * turns B concurrent m=1 matvecs into one m=B matmul); norms and
      * activations are row-wise; RoPE and causal attention run per sequence
      * with that sequence's cache length as its position offset, each
-     * sequence appending to and reading only its own KvCache slot.
+     * sequence appending to and reading only its own cache slot.
      *
      * Batch-exactness contract (extends the chunk-exactness contract):
      * segment i of the result is bitwise identical to calling Forward() on
@@ -192,15 +198,11 @@ class Transformer
                               LinearExecutor& linears) const;
 
   private:
-    Tensor ForwardBlock(int layer, const Tensor& x, KvCache& cache,
-                        int64_t pos_offset, LinearExecutor& linears) const;
-
-    Tensor ForwardBlockBatch(int layer, const Tensor& x,
-                             const std::vector<BatchSeq>& batch,
-                             const BatchSegments& segments,
-                             const std::vector<int64_t>& pos_offsets,
-                             BatchedKvCache& cache,
-                             LinearExecutor& linears) const;
+    Tensor ForwardBlock(int layer, const Tensor& x,
+                        const std::vector<BatchSeq>& batch,
+                        const BatchSegments& segments,
+                        const std::vector<int64_t>& pos_offsets,
+                        BatchedKvCache& cache, LinearExecutor& linears) const;
 
     Tensor Normed(const Tensor& x, const Tensor& gamma, const Tensor& beta)
         const;

@@ -14,23 +14,26 @@ BuildReport(const std::vector<RequestRecord>& records, double makespan_ms,
     report.makespan_ms = makespan_ms;
     report.preemptions = preemptions;
 
-    // Per-request latency samples live in the process-wide registry
-    // ("serving.*" histograms); the report quantiles below are thin reads
-    // of them, so a trace export carries the same numbers. Each report
-    // rebuilds the histograms from its record set (last-writer wins).
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    obs::Histogram& ttft = reg.GetHistogram("serving.ttft_ms",
-                                            obs::DefaultLatencyBucketsMs());
-    obs::Histogram& e2e = reg.GetHistogram("serving.e2e_ms",
-                                           obs::DefaultLatencyBucketsMs());
-    obs::Histogram& tpot = reg.GetHistogram("serving.tpot_ms",
-                                            obs::DefaultLatencyBucketsMs());
-    obs::Histogram& queueing = reg.GetHistogram(
-        "serving.queueing_ms", obs::DefaultLatencyBucketsMs());
-    ttft.Reset();
-    e2e.Reset();
-    tpot.Reset();
-    queueing.Reset();
+    // Per-request latency series: ttft, e2e, tpot, queueing. Quantiles
+    // come from histograms local to this report, so concurrent reports
+    // never see each other's samples. The registry's "serving.*"
+    // histograms are only a sink for metric dumps: each report resets and
+    // refills them, and nothing reads them back.
+    constexpr int kSeries = 4;
+    const char* const kSinkNames[kSeries] = {
+        "serving.ttft_ms", "serving.e2e_ms", "serving.tpot_ms",
+        "serving.queueing_ms"};
+    obs::Histogram local[kSeries];
+    obs::Histogram* sink[kSeries];
+    for (int i = 0; i < kSeries; ++i) {
+        sink[i] = &obs::MetricsRegistry::Global().GetHistogram(
+            kSinkNames[i], obs::DefaultLatencyBucketsMs());
+        sink[i]->Reset();
+    }
+    const obs::Histogram& ttft = local[0];
+    const obs::Histogram& e2e = local[1];
+    const obs::Histogram& tpot = local[2];
+    const obs::Histogram& queueing = local[3];
 
     int met_slo = 0;
     int64_t tokens_out = 0;
@@ -48,10 +51,12 @@ BuildReport(const std::vector<RequestRecord>& records, double makespan_ms,
         tokens_out += record.tokens_out;
         if (!record.Completed()) continue;
         ++report.completed;
-        ttft.Add(record.TtftMs());
-        e2e.Add(record.E2eMs());
-        tpot.Add(record.TpotMs());
-        queueing.Add(record.QueueingMs());
+        const double sample[kSeries] = {record.TtftMs(), record.E2eMs(),
+                                        record.TpotMs(), record.QueueingMs()};
+        for (int i = 0; i < kSeries; ++i) {
+            local[i].Add(sample[i]);
+            sink[i]->Add(sample[i]);
+        }
         met_slo += record.MetSlo() ? 1 : 0;
     }
     // Each block below is guarded only by its own denominator, so a

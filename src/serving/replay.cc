@@ -284,9 +284,10 @@ ReplayTraceImpl(const std::vector<ReplayStep>& steps,
 
     if (!options.check_bitwise) return outcome;
 
-    // ---- Reference: every sequence alone, same per-step token groups, the
-    // single-sequence Forward path. Bitwise comparison against the batched
-    // rows catches any batch-size dependence anywhere in the stack.
+    // ---- Reference: every sequence alone through Forward (B=1 on its own
+    // one-slot cache), same per-step token groups. Bitwise comparison
+    // against the batched rows catches any batch-size dependence anywhere
+    // in the stack.
     for (auto& [id, state] : seqs) {
         if (state.slot < 0) continue;  // never dispatched in the trace
         KvCache solo = model.MakeCache();

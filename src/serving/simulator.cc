@@ -127,11 +127,11 @@ ServingSimulator::Run()
     double throttled_ms = 0.0;
     double peak_temp_c = thermal.temperature_c();
 
-    // ---- Registry bookkeeping. The KV-occupancy peak and the eviction
-    // count live in the process-wide registry; the ServingResult fields
-    // are read back from it at the end of the run (thin reads), so the
-    // registry is the single source of truth. Sim-lane trace events carry
-    // virtual timestamps and are recorded only while tracing is on.
+    // ---- Registry bookkeeping. The process-wide registry is a write-only
+    // sink: concurrent runs share it, so every ServingResult field is
+    // computed from this run's own state and never read back from it.
+    // Sim-lane trace events carry virtual timestamps and are recorded only
+    // while tracing is on.
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     obs::Gauge& kv_gauge = reg.GetGauge("sim.kv_used_pages");
     obs::Counter& evict_counter = reg.GetCounter("sim.evictions");
@@ -141,7 +141,6 @@ ServingSimulator::Run()
     obs::Counter& retry_counter = reg.GetCounter("sim.retries");
     obs::Counter& shed_counter = reg.GetCounter("sim.shed");
     obs::Counter& failover_counter = reg.GetCounter("sim.failovers");
-    const int64_t evict_base = evict_counter.value();
     kv_gauge.Set(0.0);
     kv_gauge.ResetPeak();
     auto sim_emit = [&](obs::SimEvent event) {
@@ -282,6 +281,7 @@ ServingSimulator::Run()
 
     auto kv_note_usage = [&]() {
         kv_gauge.Set(static_cast<double>(kv_used));
+        result.kv_pages_peak = std::max(result.kv_pages_peak, kv_used);
         if (shrink_fired) {
             post_shrink_peak = std::max(post_shrink_peak, kv_used);
         }
@@ -768,6 +768,7 @@ ServingSimulator::Run()
             vrec.tokens_out = 0;
             vrec.prefill_done_ms = -1.0;
             ++vrec.evictions;
+            ++result.evictions;
             evict_counter.Add(1);
             decode_attempt[static_cast<size_t>(victim)] = 0;
             decode_ready[static_cast<size_t>(victim)] = 0.0;
@@ -1242,6 +1243,7 @@ ServingSimulator::Run()
                     vrec.tokens_out = 0;
                     vrec.prefill_done_ms = -1.0;
                     ++vrec.evictions;
+                    ++result.evictions;
                     evict_counter.Add(1);
                     {
                         obs::SimEvent ev;
@@ -1283,12 +1285,6 @@ ServingSimulator::Run()
     }
     result.peak_temp_c = peak_temp_c;
     result.kv_pages_peak_post_shrink = post_shrink_peak;
-
-    // Thin reads back from the registry: peak occupancy came from the
-    // gauge watermark, evictions from the counter delta over this run.
-    result.kv_pages_peak = static_cast<int64_t>(kv_gauge.peak());
-    result.evictions =
-        static_cast<int>(evict_counter.value() - evict_base);
 
     // ---- Finalize the execution trace as a TimelineResult so the shared
     // schedule-validity helpers apply (per-unit busy, spans, makespan).

@@ -68,6 +68,10 @@ void ApplyRopeRows(Tensor& x, int64_t row_begin, int64_t row_count,
  * dependency that makes chunk-wise prefill equivalent to full prefill
  * (paper §3.2).
  *
+ * The model runs the fused PagedCausalAttention (src/model/
+ * paged_attention.h); this dense version is the scalar reference that
+ * kernel is tested and benchmarked against.
+ *
  * @param q [q_len x (num_heads * head_dim)]
  * @param k [kv_len x (num_kv_heads * head_dim)]
  * @param v [kv_len x (num_kv_heads * head_dim)]

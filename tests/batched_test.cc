@@ -6,7 +6,7 @@
  * per-sequence hidden states and logits to sequential single-sequence
  * Forward, for every LinearExecutor, across ragged batch shapes — B=1..4,
  * mixed prefill/decode steps, chunked prefill inside a batch. Plus the
- * KvCache layer-lockstep invariant, BatchedKvCache accounting, and the
+ * cache's layer-lockstep invariant, BatchedKvCache accounting, and the
  * serving→numeric trace replay bridge end-to-end.
  */
 #include <gtest/gtest.h>
@@ -51,37 +51,37 @@ TEST(BatchedKvCacheTest, SlotsAreIndependent)
     EXPECT_EQ(cache.num_sequences(), 3);
 }
 
-// ----------------------------------------------------- KvCache layer lockstep
+// ------------------------------------- one-slot KvCache layer lockstep
 
 TEST(KvCacheLockstepTest, InOrderChunksPass)
 {
-    KvCache cache(3, 4);
+    KvCache cache(3, 4, /*num_sequences=*/1);
     for (int chunk : {2, 5, 1}) {  // chunk sizes may vary across chunks
         Tensor k = Tensor::Full({chunk, 4}, 1.0f);
         Tensor v = Tensor::Full({chunk, 4}, 2.0f);
-        for (int l = 0; l < 3; ++l) cache.Append(l, k, v);
+        for (int l = 0; l < 3; ++l) cache.Append(0, l, k, v);
     }
-    EXPECT_EQ(cache.SeqLen(), 8);
+    EXPECT_EQ(cache.SeqLen(0), 8);
 }
 
 TEST(KvCacheLockstepDeathTest, SecondChunkBeforeOtherLayersPanics)
 {
-    KvCache cache(2, 4);
+    KvCache cache(2, 4, /*num_sequences=*/1);
     Tensor k = Tensor::Full({3, 4}, 1.0f);
     Tensor v = Tensor::Full({3, 4}, 2.0f);
-    cache.Append(0, k, v);  // layer 1 now lags by the in-flight chunk: fine
-    EXPECT_DEATH(cache.Append(0, k, v), "CHECK failed");
+    cache.Append(0, 0, k, v);  // layer 1 now lags by the in-flight chunk: fine
+    EXPECT_DEATH(cache.Append(0, 0, k, v), "CHECK failed");
 }
 
 TEST(KvCacheLockstepDeathTest, OversizedLaterChunkPanics)
 {
-    KvCache cache(2, 4);
+    KvCache cache(2, 4, /*num_sequences=*/1);
     Tensor k3 = Tensor::Full({3, 4}, 1.0f);
     Tensor v3 = Tensor::Full({3, 4}, 2.0f);
-    cache.Append(0, k3, v3);
+    cache.Append(0, 0, k3, v3);
     Tensor k5 = Tensor::Full({5, 4}, 1.0f);
     Tensor v5 = Tensor::Full({5, 4}, 2.0f);
-    EXPECT_DEATH(cache.Append(1, k5, v5), "CHECK failed");
+    EXPECT_DEATH(cache.Append(0, 1, k5, v5), "CHECK failed");
 }
 
 // ----------------------------------------- batched vs sequential, bitwise

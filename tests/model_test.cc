@@ -172,20 +172,22 @@ TEST(WeightsTest, LinearAccessorCoversAllKinds)
 TEST(KvCacheTest, AppendAndReadBack)
 {
     // Chunks go to every layer in turn (Append enforces layer lockstep).
-    KvCache cache(2, 8);
+    KvCache cache(2, 8, /*num_sequences=*/1, PagedKvOptions{/*page_size=*/4});
     Tensor k = Tensor::Full({3, 8}, 1.0f);
     Tensor v = Tensor::Full({3, 8}, 2.0f);
-    cache.Append(0, k, v);
-    EXPECT_EQ(cache.SeqLen(0), 3);
-    EXPECT_EQ(cache.SeqLen(1), 0);
-    EXPECT_EQ(cache.Keys(0).At(2, 7), 1.0f);
-    EXPECT_EQ(cache.Values(0).At(0, 0), 2.0f);
-    cache.Append(1, k, v);
-    cache.Append(0, k, v);
-    cache.Append(1, k, v);
-    EXPECT_EQ(cache.SeqLen(0), 6);
-    EXPECT_EQ(cache.SeqLen(1), 6);
-    EXPECT_EQ(cache.SizeBytes(), 2 * 2 * 6 * 8 * 4);
+    cache.Append(0, 0, k, v);
+    EXPECT_EQ(cache.SeqLen(0, 0), 3);
+    EXPECT_EQ(cache.SeqLen(0, 1), 0);
+    EXPECT_EQ(cache.Keys(0, 0).At(2, 7), 1.0f);
+    EXPECT_EQ(cache.Values(0, 0).At(0, 0), 2.0f);
+    cache.Append(0, 1, k, v);
+    cache.Append(0, 0, k, v);
+    cache.Append(0, 1, k, v);
+    EXPECT_EQ(cache.SeqLen(0, 0), 6);
+    EXPECT_EQ(cache.SeqLen(0, 1), 6);
+    // Page-granular: 6 positions at page_size 4 hold two pages, each
+    // k + v for both layers, 4 rows of 8 floats.
+    EXPECT_EQ(cache.SizeBytes(), 2 * (2 * 2 * 4 * 8 * 4));
 }
 
 class TransformerChunkTest : public ::testing::TestWithParam<int>
@@ -226,7 +228,7 @@ TEST_P(TransformerChunkTest, ChunkedPrefillEqualsOneShot)
                 << "chunk=" << chunk << " row=" << row;
         }
     }
-    EXPECT_EQ(chunk_cache.SeqLen(), full_cache.SeqLen());
+    EXPECT_EQ(chunk_cache.SeqLen(0), full_cache.SeqLen(0));
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkLens, TransformerChunkTest,

@@ -13,7 +13,8 @@
  * fused PagedCausalAttention kernel (bitwise equality to the per-sequence
  * reference and 1/2/4-thread determinism), B=64 ragged batched forward vs
  * sequential, the serving layer's KV admission/eviction model (including
- * eviction-then-readmit bitwise replay), and the empty-input guards of the
+ * eviction-then-readmit bitwise replay), concurrent simulator runs
+ * reproducing their sequential results, and the empty-input guards of the
  * metrics path (Percentile, all-rejected reports, config validation).
  */
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/llmnpu_engine.h"
@@ -33,6 +36,7 @@
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
+#include "src/util/format.h"
 #include "src/util/threadpool.h"
 #include "src/workloads/datasets.h"
 #include "tests/support/tiny_model.h"
@@ -437,8 +441,8 @@ struct AttentionScenario {
                                     /*layer=*/0, num_heads, num_kv_heads);
     }
 
-    /** The old per-sequence path: dense K/V materialization + the
-     *  reference CausalAttention, pasted back segment by segment. */
+    /** The scalar reference: dense K/V materialization + CausalAttention
+     *  per sequence, pasted back segment by segment. */
     Tensor RunReference() const
     {
         Tensor out({q.Rows(), q.Cols()}, DType::kF32);
@@ -630,6 +634,75 @@ TEST_F(PagedServingTest, EvictionThenReadmitReplaysBitwise)
         result.replay_steps, result.records, tiny.model, linears);
     EXPECT_TRUE(outcome.bitwise_match) << outcome.first_mismatch;
     EXPECT_GT(outcome.prefill_steps, 0);
+}
+
+/** Every scalar of a result and its report, plus every record's timeline,
+ *  printed exactly (%a), so two results compare equal as strings only when
+ *  they are bitwise the same. */
+std::string
+ResultFingerprint(const ServingResult& r)
+{
+    const ServingReport rep = r.Report();
+    std::string out = StrFormat(
+        "makespan %a npu %a decode %a preempt %d rej %d evict %d "
+        "peak %lld mean %a shed %d faults %d retries %d\n",
+        r.makespan_ms, r.npu_busy_ms, r.decode_busy_ms, r.preemptions,
+        r.rejected, r.evictions, static_cast<long long>(r.kv_pages_peak),
+        r.kv_pages_mean, r.shed, r.faults, r.retries);
+    out += StrFormat(
+        "report %d/%d/%d tput %a good %a slo %a ttft %a %a %a e2e %a %a %a "
+        "tpot %a queue %a decode %a evict %d peak %lld\n",
+        rep.admitted, rep.rejected, rep.completed, rep.throughput_rps,
+        rep.goodput_rps, rep.slo_attainment, rep.ttft_p50_ms,
+        rep.ttft_p95_ms, rep.ttft_p99_ms, rep.e2e_p50_ms, rep.e2e_p95_ms,
+        rep.e2e_p99_ms, rep.tpot_mean_ms, rep.queueing_mean_ms,
+        rep.decode_tokens_per_sec, rep.evictions,
+        static_cast<long long>(rep.kv_pages_peak));
+    for (const RequestRecord& rec : r.records) {
+        out += StrFormat("req %d %a %a %a %d %d %d\n", rec.request.id,
+                         rec.first_dispatch_ms, rec.first_token_ms,
+                         rec.finish_ms, rec.tokens_out, rec.evictions,
+                         rec.rejected ? 1 : 0);
+    }
+    return out;
+}
+
+TEST_F(PagedServingTest, ConcurrentRunsMatchTheirSequentialRuns)
+{
+    // Results are a pure function of the run's inputs: two runs of the
+    // same seed with different pool budgets, racing on two threads, must
+    // each reproduce their sequential result exactly. (The KV peak and
+    // eviction count were once read back from process-global metrics,
+    // so a pool-90 run racing a pool-400 run reported 351 peak pages.)
+    constexpr int kRequests = 40;
+    constexpr double kRate = 100.0;
+    const int64_t pools[2] = {90, 400};
+    std::string sequential[2];
+    for (int i = 0; i < 2; ++i) {
+        const ServingResult r = RunBounded(pools[i], kRequests, kRate);
+        EXPECT_LE(r.kv_pages_peak, pools[i]);
+        sequential[i] = ResultFingerprint(r);
+    }
+    ASSERT_NE(sequential[0], sequential[1]);
+
+    for (int round = 0; round < 3; ++round) {
+        ServingResult concurrent[2];
+        std::string fingerprint[2];
+        std::thread workers[2];
+        for (int i = 0; i < 2; ++i) {
+            workers[i] = std::thread([&, i] {
+                concurrent[i] = RunBounded(pools[i], kRequests, kRate);
+                fingerprint[i] = ResultFingerprint(concurrent[i]);
+            });
+        }
+        for (std::thread& w : workers) w.join();
+        for (int i = 0; i < 2; ++i) {
+            EXPECT_LE(concurrent[i].kv_pages_peak, pools[i])
+                << "round " << round << " pool " << pools[i];
+            EXPECT_EQ(fingerprint[i], sequential[i])
+                << "round " << round << " pool " << pools[i];
+        }
+    }
 }
 
 TEST_F(PagedServingTest, OversizedRequestsAreRejectedNotStarved)
