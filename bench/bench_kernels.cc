@@ -173,15 +173,85 @@ EmitKernelMetrics()
     }
 }
 
+/** One PagedCausalAttention call's inputs over a single-layer paged cache
+ *  (kHeads MHA heads of kHeadDim). */
+struct AttentionShape {
+    static constexpr int kHeads = 8;
+    static constexpr int kHeadDim = 32;
+    static constexpr int64_t kModelDim =
+        static_cast<int64_t>(kHeads) * kHeadDim;
+
+    BatchedKvCache cache{1, kModelDim, 0, PagedKvOptions{}};
+    Tensor q;
+    std::vector<int> seqs;
+    std::vector<int64_t> segments{0};
+    std::vector<int64_t> pos_offsets;
+    int64_t attended = 0;  ///< sum of visible positions over query rows
+
+    /** Adds a sequence holding `kv` cached positions whose last `rows`
+     *  positions are this call's query rows. */
+    void AddSequence(Rng& rng, int64_t kv, int64_t rows)
+    {
+        const int seq = cache.AddSequence();
+        cache.Append(seq, 0, RandomTensor(rng, {kv, kModelDim}),
+                     RandomTensor(rng, {kv, kModelDim}));
+        seqs.push_back(seq);
+        pos_offsets.push_back(kv - rows);
+        segments.push_back(segments.back() + rows);
+        for (int64_t r = 0; r < rows; ++r) attended += kv - rows + r + 1;
+    }
+};
+
 /**
- * Fused paged attention vs the per-sequence path it replaced: a B=16
- * batched decode step (one query row per sequence) over paged KV at
- * several context lengths. The reference materializes each sequence's
- * dense K/V and runs CausalAttention per sequence — exactly what
- * ForwardBatch did before the fused kernel — so the speedup row prices
- * the fusion itself (tile-parallel, page-direct reads, no dense copies).
- * Attention does 4*kv*head_dim flops per (seq, head) query row, which
- * MeasureGFlops' 2*m*k*n form matches as m=B*heads, k=2*kv, n=head_dim.
+ * Prints a per_seq_dense row (each sequence's K/V materialized dense, then
+ * CausalAttention per sequence: what ForwardBatch did before the fused
+ * kernel) and a fused PagedCausalAttention row per thread count, keyed
+ * (m, k, n) = (query rows, context, model width). Attention does
+ * 4*attended*head_dim flops per head, which MeasureGFlops' 2*m*k*n form
+ * matches as m=heads, k=2*attended, n=head_dim.
+ */
+void
+EmitPagedAttentionRows(const char* kernel, Rng& rng, AttentionShape& shape,
+                       int64_t m_label, int64_t k_label,
+                       const std::vector<int>& threads)
+{
+    shape.q = RandomTensor(rng, {shape.segments.back(),
+                                 AttentionShape::kModelDim});
+    const int64_t flop_k = 2 * shape.attended;
+    constexpr int kHeads = AttentionShape::kHeads;
+    constexpr int kHeadDim = AttentionShape::kHeadDim;
+    const double per_seq = MeasureGFlops(kHeads, flop_k, kHeadDim, [&] {
+        for (size_t i = 0; i < shape.seqs.size(); ++i) {
+            const int64_t r0 = shape.segments[i];
+            benchmark::DoNotOptimize(CausalAttention(
+                shape.q.CopyRows(r0, shape.segments[i + 1] - r0),
+                shape.cache.Keys(shape.seqs[i], 0),
+                shape.cache.Values(shape.seqs[i], 0), kHeads, kHeads,
+                shape.pos_offsets[i]));
+        }
+    });
+    PrintMetric(kernel, "per_seq_dense", m_label, k_label,
+                AttentionShape::kModelDim, 1, per_seq, 1.0);
+    for (int t : threads) {
+        ScopedNumThreads scoped(t);
+        const double fused = MeasureGFlops(kHeads, flop_k, kHeadDim, [&] {
+            benchmark::DoNotOptimize(PagedCausalAttention(
+                shape.q, shape.segments, shape.seqs, shape.pos_offsets,
+                shape.cache, 0, kHeads, kHeads));
+        });
+        PrintMetric(kernel, "fused", m_label, k_label,
+                    AttentionShape::kModelDim, t, fused, fused / per_seq);
+    }
+}
+
+/**
+ * Fused paged attention vs the per-sequence path it replaced, in two
+ * shapes: `paged_attention` rows are a B=16 batched decode step (one query
+ * row per sequence) at several context lengths, and
+ * `paged_attention_prefill` rows one sequence's 256-row prefill chunk at
+ * positions 512..767 (the last chunk of a long UI prompt). The prefill
+ * rows carry their own kernel name because the latency predictor reads
+ * `paged_attention` rows as decode steps (m = batch).
  */
 void
 EmitPagedAttentionMetrics()
@@ -192,50 +262,24 @@ EmitPagedAttentionMetrics()
     const std::vector<int> thread_counts =
         QuickMode() ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4};
     constexpr int kBatch = 16;
-    constexpr int kHeads = 8;
-    constexpr int kHeadDim = 32;
-    const int64_t model_dim = static_cast<int64_t>(kHeads) * kHeadDim;
 
     for (int64_t kv : contexts) {
         Rng rng(0x9a6ed + static_cast<uint64_t>(kv));
-        BatchedKvCache cache(1, model_dim, 0, PagedKvOptions{});
-        std::vector<int> seqs;
-        std::vector<int64_t> segments{0};
-        std::vector<int64_t> pos_offsets;
-        for (int b = 0; b < kBatch; ++b) {
-            const int seq = cache.AddSequence();
-            cache.Append(seq, 0, RandomTensor(rng, {kv, model_dim}),
-                         RandomTensor(rng, {kv, model_dim}));
-            seqs.push_back(seq);
-            // Decode semantics: the step's K/V row is already appended, so
-            // the query sits at the last cached position.
-            pos_offsets.push_back(kv - 1);
-            segments.push_back(segments.back() + 1);
-        }
-        Tensor q = RandomTensor(rng, {kBatch, model_dim});
-
-        const int64_t flop_m = static_cast<int64_t>(kBatch) * kHeads;
-        const double per_seq = MeasureGFlops(flop_m, 2 * kv, kHeadDim, [&] {
-            for (int seq : seqs) {
-                benchmark::DoNotOptimize(CausalAttention(
-                    q.CopyRows(seq, 1), cache.Keys(seq, 0),
-                    cache.Values(seq, 0), kHeads, kHeads, kv - 1));
-            }
-        });
-        PrintMetric("paged_attention", "per_seq_dense", kBatch, kv,
-                    model_dim, 1, per_seq, 1.0);
-        for (int threads : thread_counts) {
-            ScopedNumThreads scoped(threads);
-            const double fused =
-                MeasureGFlops(flop_m, 2 * kv, kHeadDim, [&] {
-                    benchmark::DoNotOptimize(PagedCausalAttention(
-                        q, segments, seqs, pos_offsets, cache, 0, kHeads,
-                        kHeads));
-                });
-            PrintMetric("paged_attention", "fused", kBatch, kv, model_dim,
-                        threads, fused, fused / per_seq);
-        }
+        AttentionShape decode;
+        // Decode semantics: the step's K/V row is already appended, so
+        // the query sits at the last cached position.
+        for (int b = 0; b < kBatch; ++b) decode.AddSequence(rng, kv, 1);
+        EmitPagedAttentionRows("paged_attention", rng, decode, kBatch, kv,
+                               thread_counts);
     }
+
+    constexpr int64_t kChunk = 256;
+    constexpr int64_t kPromptEnd = 768;
+    Rng rng(0x9a6ed + static_cast<uint64_t>(kPromptEnd));
+    AttentionShape prefill;
+    prefill.AddSequence(rng, kPromptEnd, kChunk);
+    EmitPagedAttentionRows("paged_attention_prefill", rng, prefill, kChunk,
+                           kPromptEnd, thread_counts);
 }
 
 // ----------------------------------------------------- google-benchmark

@@ -157,9 +157,15 @@ BatchedKvCache::AppendRows(int seq, int layer, const Tensor& k,
             state.pages[static_cast<size_t>(page_idx)] = clone;
             page = clone;
         }
-        std::memcpy(pool_.PageK(page, layer) + slot * kv_dim_,
-                    pk + copied * kv_dim_,
-                    static_cast<size_t>(run * kv_dim_) * sizeof(float));
+        // K is d-major within the page (see KvPagePool::PageK): scatter
+        // each row's channels down the columns of its slot.
+        float* kblock = pool_.PageK(page, layer) + slot;
+        const float* ksrc = pk + copied * kv_dim_;
+        for (int64_t c = 0; c < kv_dim_; ++c) {
+            for (int64_t i = 0; i < run; ++i) {
+                kblock[c * ps + i] = ksrc[i * kv_dim_ + c];
+            }
+        }
         std::memcpy(pool_.PageV(page, layer) + slot * kv_dim_,
                     pv + copied * kv_dim_,
                     static_cast<size_t>(run * kv_dim_) * sizeof(float));
@@ -201,9 +207,12 @@ BatchedKvCache::Keys(int seq, int layer) const
     for (int64_t pos = 0; pos < len;) {
         const int64_t run = std::min(len - pos, ps - pos % ps);
         const int64_t page = state.pages[static_cast<size_t>(pos / ps)];
-        std::memcpy(p + pos * kv_dim_,
-                    pool_.PageK(page, layer) + (pos % ps) * kv_dim_,
-                    static_cast<size_t>(run * kv_dim_) * sizeof(float));
+        const float* kblock = pool_.PageK(page, layer) + pos % ps;
+        for (int64_t i = 0; i < run; ++i) {
+            for (int64_t c = 0; c < kv_dim_; ++c) {
+                p[(pos + i) * kv_dim_ + c] = kblock[c * ps + i];
+            }
+        }
         pos += run;
     }
     return out;

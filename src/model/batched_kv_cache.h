@@ -28,7 +28,9 @@
  *
  * Page tables are shared across layers: page id p of a sequence holds that
  * sequence's positions [i*page_size, (i+1)*page_size) for *every* layer
- * (the pool lays pages out as [layer][k|v][page_size x kv_dim]). Layers
+ * (the pool lays each layer out as a d-major [kv_dim x page_size] K block
+ * and a [page_size x kv_dim] V block; AppendRows writes that layout and
+ * Keys()/Values() read it back as [len x kv_dim]). Layers
  * append in lockstep within a forward step, layer 0 first, so page
  * allocation happens on the layer-0 append and later layers land in
  * already-mapped pages.

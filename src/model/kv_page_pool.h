@@ -12,10 +12,15 @@
  * the same page arithmetic so admission control and preemption-by-eviction
  * rehearse against an honest memory budget.
  *
- * Layout: one contiguous buffer per physical page holding
- * [layer][k|v][page_size x kv_dim] so a page is the unit of both
- * allocation and locality. Page ids are stable for the pool's lifetime;
- * released pages are recycled LIFO (the hottest page comes back first).
+ * Layout: one contiguous buffer per physical page holding, per layer, a
+ * K block then a V block, so a page is the unit of both allocation and
+ * locality. The K block is d-major, [kv_dim x page_size]: channel c of
+ * slot s sits at c * page_size + s, so one channel of consecutive
+ * positions is contiguous and the attention kernel can fill a SIMD vector
+ * with eight key positions, one dot product per lane. The V block is
+ * position-major, [page_size x kv_dim], so P.V puts its lanes over
+ * channels. Page ids are stable for the pool's lifetime; released pages
+ * are recycled LIFO (the hottest page comes back first).
  */
 #ifndef LLMNPU_MODEL_KV_PAGE_POOL_H
 #define LLMNPU_MODEL_KV_PAGE_POOL_H
@@ -73,11 +78,13 @@ class KvPagePool
     /** References currently held on `page` (0 = free). */
     int64_t RefCount(int64_t page) const;
 
-    /** Mutable K block of one page/layer: [page_size x kv_dim] row-major. */
+    /** Mutable K block of one page/layer, d-major: [kv_dim x page_size],
+     *  element (slot, channel c) at c * page_size() + slot. */
     float* PageK(int64_t page, int layer);
     const float* PageK(int64_t page, int layer) const;
 
-    /** Mutable V block of one page/layer: [page_size x kv_dim] row-major. */
+    /** Mutable V block of one page/layer: [page_size x kv_dim], element
+     *  (slot, channel c) at slot * kv_dim() + c. */
     float* PageV(int64_t page, int layer);
     const float* PageV(int64_t page, int layer) const;
 

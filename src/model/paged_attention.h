@@ -20,6 +20,20 @@
  * CausalAttention reference (same dot/softmax/accumulate ordering) — the
  * batched-equals-sequential contract extends through this kernel
  * unchanged.
+ *
+ * Vectorized without changing a bit: a tile takes its query rows four at
+ * a time, and SIMD lanes run across *key positions* for QK^T — eight
+ * consecutive positions per vector, read straight from the d-major K page
+ * (KvPagePool::PageK) — so each lane computes one position's dot product
+ * in the scalar order, dot = dot + q[d] * k[d] for d ascending. Multiply
+ * and add stay separate instructions (the file is built with AVX2 but no
+ * FMA, and -ffp-contract=off), so every lane rounds exactly as the scalar
+ * loop does; a page run's leftover positions go through the same code
+ * with one-float lanes. Softmax (max, std::exp, the double sum) stays
+ * scalar per row in position order. For P.V the lanes run across head_dim
+ * columns, the block's rows share each V-row load, and each row adds its
+ * visible positions in ascending order. Lanes are never reduced against
+ * each other, so no float sum is reassociated.
  */
 #ifndef LLMNPU_MODEL_PAGED_ATTENTION_H
 #define LLMNPU_MODEL_PAGED_ATTENTION_H

@@ -70,9 +70,11 @@ PerTensorExecutor::PerTensorExecutor(const ModelWeights& weights)
     for (int l = 0; l < config.num_layers; ++l) {
         q_[static_cast<size_t>(l)].resize(7);
         for (const auto& spec : config.LayerLinears()) {
+            PerColumnWeights pc =
+                QuantizePerColumn(weights.Linear(l, spec.kind));
             q_[static_cast<size_t>(l)]
               [static_cast<size_t>(LinearKindIndex(spec.kind))] =
-                QuantizePerColumn(weights.Linear(l, spec.kind));
+                PackWeightsI8(pc.q, std::move(pc.scales));
         }
     }
 }
@@ -84,7 +86,7 @@ PerTensorExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
     Tensor x_q = QuantizeSymmetric(x, params);
     const auto& w = q_[static_cast<size_t>(layer)]
                       [static_cast<size_t>(LinearKindIndex(kind))];
-    return MatMulW8A8PerTensor(x_q, params.scale, w.q, w.scales);
+    return MatMulW8A8PerTensorPacked(x_q, params.scale, w);
 }
 
 // --------------------------------------------------------------------------
@@ -242,7 +244,8 @@ SmoothQuantExecutor::SmoothQuantExecutor(const ModelWeights& weights,
                 }
                 smoothed_absmax = std::max(smoothed_absmax, x_absmax / s);
             }
-            sl.weights = QuantizePerColumn(w_smooth);
+            PerColumnWeights pc = QuantizePerColumn(w_smooth);
+            sl.weights = PackWeightsI8(pc.q, std::move(pc.scales));
             // Static per-tensor activation scale, profiled offline — this
             // (plus outlier migration into weights) is SmoothQuant's
             // accuracy weakness the paper measures in Table 6.
@@ -272,8 +275,7 @@ SmoothQuantExecutor::Forward(int layer, LinearKind kind, const Tensor& x)
     }
     QuantParams params{sl.static_act_scale};
     Tensor x_q = QuantizeSymmetric(x_smooth, params);
-    return MatMulW8A8PerTensor(x_q, params.scale, sl.weights.q,
-                               sl.weights.scales);
+    return MatMulW8A8PerTensorPacked(x_q, params.scale, sl.weights);
 }
 
 Tensor
@@ -317,8 +319,7 @@ LlmInt8Executor::LlmInt8Executor(const ModelWeights& weights,
             dl.w_outlier = GatherRows(w, dl.outlier_channels);
             PerColumnWeights pc =
                 QuantizePerColumn(GatherRows(w, dl.normal_channels));
-            dl.w_normal_q = std::move(pc.q);
-            dl.w_scales = std::move(pc.scales);
+            dl.w_normal = PackWeightsI8(pc.q, std::move(pc.scales));
             q_[static_cast<size_t>(l)]
               [static_cast<size_t>(LinearKindIndex(spec.kind))] =
                 std::move(dl);
@@ -363,7 +364,7 @@ LlmInt8Executor::Forward(int layer, LinearKind kind, const Tensor& x)
             }
         }
     }
-    Tensor y = MatMulW8A8RowCol(x_q, row_scales, dl.w_normal_q, dl.w_scales);
+    Tensor y = MatMulW8A8RowCol(x_q, row_scales, dl.w_normal);
 
     // Outlier channels: float path.
     if (!dl.outlier_channels.empty()) {

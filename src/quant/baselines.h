@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/quant/calibration.h"
+#include "src/tensor/matmul.h"
 #include "src/tensor/quantize.h"
 
 namespace llmnpu {
@@ -39,7 +40,8 @@ class PerTensorExecutor : public LinearExecutor
 
   private:
     const ModelWeights& weights_;
-    std::vector<std::vector<PerColumnWeights>> q_;  // [layer][kind]
+    /** Per-column int8 weights, packed once at construction. */
+    std::vector<std::vector<PackedWeightsI8>> q_;  // [layer][kind]
 };
 
 /**
@@ -110,7 +112,7 @@ class SmoothQuantExecutor : public LinearExecutor
   private:
     struct SmoothedLinear {
         std::vector<float> inv_smooth;  ///< 1/s_k applied to activations
-        PerColumnWeights weights;       ///< quantized smoothed weights
+        PackedWeightsI8 weights;        ///< quantized smoothed weights
         float static_act_scale = 1.0f;  ///< offline-profiled per-tensor scale
     };
     std::vector<std::vector<SmoothedLinear>> q_;  // [layer][kind]
@@ -141,8 +143,7 @@ class LlmInt8Executor : public LinearExecutor
         std::vector<int> outlier_channels;  ///< fp path (ascending)
         std::vector<int> normal_channels;   ///< int8 path (ascending)
         Tensor w_outlier;                   ///< f32 [|outlier| x N]
-        Tensor w_normal_q;                  ///< int8 [|normal| x N]
-        std::vector<float> w_scales;        ///< per column
+        PackedWeightsI8 w_normal;  ///< int8 [|normal| x N], per-column scales
     };
     const ModelWeights& weights_;
     std::vector<std::vector<DecomposedLinear>> q_;  // [layer][kind]

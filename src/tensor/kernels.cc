@@ -432,20 +432,18 @@ MatMulW8A8PerTensor(const Tensor& a_q, float a_scale, const Tensor& w_q,
 
 Tensor
 MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
-                 const Tensor& w_q, const std::vector<float>& w_scales)
+                 const PackedWeightsI8& w)
 {
     LLMNPU_CHECK(a_q.dtype() == DType::kI8);
-    LLMNPU_CHECK(w_q.dtype() == DType::kI8);
-    LLMNPU_CHECK_EQ(a_q.Cols(), w_q.Rows());
-    const int64_t m = a_q.Rows(), k = a_q.Cols(), n = w_q.Cols();
+    LLMNPU_CHECK_EQ(a_q.Cols(), w.k);
+    const int64_t m = a_q.Rows(), k = w.k, n = w.n;
     LLMNPU_CHECK_EQ(a_scales.size(), static_cast<size_t>(m));
-    LLMNPU_CHECK_EQ(w_scales.size(), static_cast<size_t>(n));
-    const PackedWeightsI8 w = PackWeightsI8(w_q, w_scales);
+    LLMNPU_CHECK_EQ(w.scales.size(), static_cast<size_t>(n));
     Tensor c({m, n}, DType::kF32);
     const int8_t* pa = a_q.Data<int8_t>();
     float* pc = c.Data<float>();
     const float* as = a_scales.data();
-    const float* ws = w_scales.data();
+    const float* ws = w.scales.data();
     LLMNPU_TRACE_SPAN_TILE("matmul.w8a8_rowcol", "kernel", -1, -1, -1,
                            "m", static_cast<int>(m));
     RowParallel(m, k * n, [&](int64_t r0, int64_t r1) {

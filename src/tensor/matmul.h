@@ -107,12 +107,12 @@ Tensor MatMulW8A8PerTensorNaive(const Tensor& a_q, float a_scale,
                                 const std::vector<float>& w_scales);
 
 /**
- * Vector-wise W8A8 matmul (LLM.Int8()-style): per-row activation scales and
- * per-column weight scales, C[m, n] = acc * a_scales[m] * w_scales[n].
+ * Vector-wise W8A8 matmul (LLM.Int8()-style) against pre-packed weights:
+ * per-row activation scales and per-column weight scales (w.scales has
+ * size N), C[m, n] = acc * a_scales[m] * w.scales[n].
  */
 Tensor MatMulW8A8RowCol(const Tensor& a_q, const std::vector<float>& a_scales,
-                        const Tensor& w_q,
-                        const std::vector<float>& w_scales);
+                        const PackedWeightsI8& w);
 
 /** Reference triple-loop vector-wise W8A8 matmul. */
 Tensor MatMulW8A8RowColNaive(const Tensor& a_q,

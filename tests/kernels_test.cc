@@ -143,7 +143,8 @@ TEST(KernelEquivalenceTest, W8A8RowColBitwiseMatchesNaive)
         for (int64_t j = 0; j < s[2]; ++j) {
             w_scales.push_back(0.03f + 0.001f * static_cast<float>(j));
         }
-        Tensor tiled = MatMulW8A8RowCol(a_q, a_scales, w_q, w_scales);
+        Tensor tiled =
+            MatMulW8A8RowCol(a_q, a_scales, PackWeightsI8(w_q, w_scales));
         EXPECT_TRUE(tiled.BitEquals(
             MatMulW8A8RowColNaive(a_q, a_scales, w_q, w_scales)))
             << "m=" << s[0] << " k=" << s[1] << " n=" << s[2];

@@ -316,12 +316,13 @@ HashTensor(const Tensor& t, uint64_t h)
 }
 
 /**
- * Golden record for this build flavor. The AVX2/FMA kernel TU contracts
- * scalar multiply-adds into fused ones only when optimizing, so the fp32
- * and float-scaled paths round differently in the last bits at -O0; each
- * flavor keeps its own record, both taken from the same code.
+ * Golden record for this build flavor. The kernel TU built with -mfma
+ * (LLMNPU_KERNELS_FMA) contracts scalar multiply-adds into fused ones only
+ * when optimizing, so the fp32 and float-scaled paths round differently in
+ * the last bits at -O0 or without FMA; each flavor keeps its own record,
+ * both taken from the same code.
  */
-#ifdef __OPTIMIZE__
+#if defined(__OPTIMIZE__) && defined(LLMNPU_KERNELS_FMA)
 constexpr const char* kForwardGolden = "forward_hashes.txt";
 #else
 constexpr const char* kForwardGolden = "forward_hashes_O0.txt";

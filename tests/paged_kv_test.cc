@@ -10,8 +10,10 @@
  * the shared-system-prompt serving scenario (once-counted admission,
  * eviction with a resident prefix, nested fraction marking, bitwise
  * replay through CoW forks), the
+ * K/V page layout round trip, the
  * fused PagedCausalAttention kernel (bitwise equality to the per-sequence
- * reference and 1/2/4-thread determinism), B=64 ragged batched forward vs
+ * reference at 1/2/4 threads over page sizes, head dims, MHA/GQA/MQA and
+ * a 256-row prefill chunk), B=64 ragged batched forward vs
  * sequential, the serving layer's KV admission/eviction model (including
  * eviction-then-readmit bitwise replay), concurrent simulator runs
  * reproducing their sequential results, and the empty-input guards of the
@@ -24,6 +26,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/llmnpu_engine.h"
@@ -267,6 +270,60 @@ TEST(PagedKvCacheTest, CowForkWriteDivergenceIsBitwiseIsolated)
     EXPECT_TRUE(BitwiseEqual(cache.Keys(fork2, 0), fork2_expect));
 }
 
+TEST(PagedKvCacheTest, KeysAndValuesRoundTripThroughThePageLayout)
+{
+    // K pages are d-major and V pages position-major; Keys()/Values()
+    // must hand back exactly the appended rows either way — across page
+    // boundaries, on every layer, and after a copy-on-write fork-write.
+    constexpr int kLayers = 2;
+    constexpr int64_t kKvDim = 12;
+    constexpr int64_t kPageSize = 8;
+    BatchedKvCache cache(kLayers, kKvDim, 0, PagedKvOptions{kPageSize});
+    const int src = cache.AddSequence();
+    Rng rng(71);
+    std::vector<Tensor> k(kLayers), v(kLayers);
+    for (int l = 0; l < kLayers; ++l) {
+        k[l] = RandomTensor(rng, 22, kKvDim);
+        v[l] = RandomTensor(rng, 22, kKvDim);
+    }
+    // Appends of 5, 6 and 11 rows: the second and third straddle pages.
+    for (const auto& [begin, rows] :
+         std::vector<std::pair<int64_t, int64_t>>{{0, 5}, {5, 6}, {11, 11}}) {
+        for (int l = 0; l < kLayers; ++l) {
+            cache.AppendRows(src, l, k[l], v[l], begin, rows);
+        }
+    }
+    for (int l = 0; l < kLayers; ++l) {
+        EXPECT_TRUE(BitwiseEqual(cache.Keys(src, l), k[l]));
+        EXPECT_TRUE(BitwiseEqual(cache.Values(src, l), v[l]));
+    }
+    // The page contract itself: K (slot, c) at c * page_size + slot.
+    const float* k1 = cache.pool().PageK(cache.PageTable(src)[1], 1);
+    EXPECT_EQ(k1[5 * kPageSize + 3], k[1].Data<float>()[11 * kKvDim + 5]);
+
+    // Fork mid-page, then write into the shared frontier page.
+    const int fork = cache.AddSequenceSharingPrefix(src, 19);
+    std::vector<Tensor> fk(kLayers), fv(kLayers);
+    for (int l = 0; l < kLayers; ++l) {
+        fk[l] = RandomTensor(rng, 4, kKvDim);
+        fv[l] = RandomTensor(rng, 4, kKvDim);
+        cache.Append(fork, l, fk[l], fv[l]);
+    }
+    EXPECT_EQ(cache.pool().cow_clones(), 1);
+    for (int l = 0; l < kLayers; ++l) {
+        Tensor fork_k({23, kKvDim}, DType::kF32);
+        fork_k.PasteRows(k[l].CopyRows(0, 19), 0);
+        fork_k.PasteRows(fk[l], 19);
+        Tensor fork_v({23, kKvDim}, DType::kF32);
+        fork_v.PasteRows(v[l].CopyRows(0, 19), 0);
+        fork_v.PasteRows(fv[l], 19);
+        EXPECT_TRUE(BitwiseEqual(cache.Keys(fork, l), fork_k));
+        EXPECT_TRUE(BitwiseEqual(cache.Values(fork, l), fork_v));
+        EXPECT_TRUE(BitwiseEqual(cache.Keys(src, l), k[l]));
+        EXPECT_TRUE(BitwiseEqual(cache.Values(src, l), v[l]));
+    }
+}
+
 TEST(PagedKvCacheTest, CanAppendChargesPendingCowClones)
 {
     BatchedKvCache cache(1, 4, 0,
@@ -409,9 +466,9 @@ struct AttentionScenario {
     AttentionScenario(int num_heads_in, int num_kv_heads_in, int head_dim,
                       const std::vector<std::pair<int64_t, int64_t>>&
                           history_and_step,
-                      uint64_t seed)
+                      uint64_t seed, int64_t page_size = 4)
         : cache(1, static_cast<int64_t>(num_kv_heads_in) * head_dim, 0,
-                PagedKvOptions{/*page_size=*/4}),
+                PagedKvOptions{page_size}),
           num_heads(num_heads_in),
           num_kv_heads(num_kv_heads_in)
     {
@@ -500,6 +557,62 @@ TEST(PagedAttentionTest, BitwiseDeterministicAcrossThreadCounts)
     EXPECT_TRUE(BitwiseEqual(at1, at2));
     EXPECT_TRUE(BitwiseEqual(at1, at4));
     EXPECT_TRUE(BitwiseEqual(at1, scenario.RunReference()));
+}
+
+/** Run() at 1, 2 and 4 threads, each bitwise equal to the reference. */
+void
+ExpectBitwiseAtEveryThreadCount(const AttentionScenario& scenario)
+{
+    const Tensor reference = scenario.RunReference();
+    for (int threads : {1, 2, 4}) {
+        ScopedNumThreads scoped(threads);
+        EXPECT_TRUE(BitwiseEqual(scenario.Run(), reference))
+            << threads << " threads";
+    }
+}
+
+/** (page_size, head_dim, num_kv_heads of 4 query heads). */
+class PagedAttentionShapeTest
+    : public ::testing::TestWithParam<std::tuple<int64_t, int, int>>
+{};
+
+TEST_P(PagedAttentionShapeTest, MatchesReferenceBitwiseAtEveryThreadCount)
+{
+    // The kernel puts 8 key positions in one vector and takes query rows
+    // four at a time. Histories start mid-page, row counts leave 1-3 rows
+    // over after the 4-row blocks, and runs leave 1-7 positions over after
+    // the 8-position blocks, so every vector block, scalar leftover and
+    // short row block runs at each page size. head_dim 6 has no full
+    // vector of columns, 8 exactly one, 32 two 16-column passes.
+    const auto [page_size, head_dim, num_kv_heads] = GetParam();
+    AttentionScenario scenario(
+        /*num_heads=*/4, num_kv_heads, head_dim,
+        {{0, 7}, {13, 5}, {29, 1}, {3, 10}, {21, 2}, {40, 3}},
+        /*seed=*/53 + static_cast<uint64_t>(page_size), page_size);
+    ExpectBitwiseAtEveryThreadCount(scenario);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PageSizesHeadDimsAndKvGroups, PagedAttentionShapeTest,
+    ::testing::Combine(::testing::Values<int64_t>(4, 8, 16),
+                       ::testing::Values(6, 8, 32),
+                       ::testing::Values(4, 2, 1)),  // MHA, GQA, MQA
+    [](const ::testing::TestParamInfo<PagedAttentionShapeTest::ParamType>&
+           info) {
+        return StrFormat("ps%d_hd%d_kv%d",
+                         static_cast<int>(std::get<0>(info.param)),
+                         std::get<1>(info.param), std::get<2>(info.param));
+    });
+
+TEST(PagedAttentionTest, PrefillChunkOverLongHistoryMatchesReference)
+{
+    // The last 256-row chunk of a long UI prompt: positions 512..767.
+    for (int64_t page_size : {4, 8, 16}) {
+        AttentionScenario scenario(/*num_heads=*/4, /*num_kv_heads=*/2,
+                                   /*head_dim=*/32, {{512, 256}},
+                                   /*seed=*/61, page_size);
+        ExpectBitwiseAtEveryThreadCount(scenario);
+    }
 }
 
 // ----------------------------------------- B=64 ragged batch, end to end

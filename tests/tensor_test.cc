@@ -224,7 +224,8 @@ TEST(MatMulTest, W8A8RowColMatchesReference)
         }
     }
     PerColumnWeights wq = QuantizePerColumn(w);
-    Tensor y = MatMulW8A8RowCol(a_q, row_scales, wq.q, wq.scales);
+    Tensor y = MatMulW8A8RowCol(a_q, row_scales,
+                                PackWeightsI8(wq.q, wq.scales));
     Tensor y_ref = MatMulF32(a, w);
     // Quantization error only: bounded well below signal magnitude.
     EXPECT_LT(MaxAbsDiff(y, y_ref), 0.2);
